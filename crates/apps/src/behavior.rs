@@ -21,9 +21,9 @@
 //!   *prediction* of this set, exactly as on a real device.
 
 use crate::profile::AppProfile;
-use fleet_heap::{depth_map, AllocContext, Heap, ObjectId};
+use fleet_heap::{depth_bands, AllocContext, Heap, ObjectId, ObjectMarks, UNREACHED};
 use fleet_sim::SimRng;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// How many objects the young-allocation window remembers.
 const RECENT_WINDOW: usize = 4096;
@@ -33,8 +33,18 @@ const RECENT_WINDOW: usize = 4096;
 /// depth sweep, which only works if the graph has structure past depth 2).
 const FRAMEWORK_DEPTH_BYTES_FRACTION: f64 = 0.095;
 
+/// Deepest BFS depth from the roots that hot-launch sampling treats as
+/// near-root (re-accessed with [`LaunchModel::near_root_reaccess`]).
+///
+/// [`LaunchModel::near_root_reaccess`]: crate::profile::LaunchModel::near_root_reaccess
+const NEAR_ROOT_DEPTH: u8 = 2;
+
+/// Objects a cold re-access touches: the seed and up to five successors
+/// along its first-reference chain.
+const COLD_CHAIN: usize = 6;
+
 /// The sampled hot-launch working set.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchAccess {
     /// Live objects the launch will touch, in a deterministic order.
     pub objects: Vec<ObjectId>,
@@ -74,11 +84,13 @@ pub struct AppBehavior {
     attach_points: Vec<ObjectId>,
     /// Recently allocated, graph-attached foreground objects.
     recent: VecDeque<ObjectId>,
-    /// Background working set, chosen when the app is backgrounded.
-    ws: HashSet<ObjectId>,
+    /// Background working set, chosen when the app is backgrounded; sorted
+    /// ascending without duplicates. May hold freed ids until the next
+    /// [`AppBehavior::prune`].
+    ws: Vec<ObjectId>,
     /// Snapshot of `recent` at the moment of backgrounding (the ground truth
-    /// behind FYO).
-    young_at_switch: HashSet<ObjectId>,
+    /// behind FYO); sorted ascending. May hold freed ids until the next prune.
+    young_at_switch: Vec<ObjectId>,
 }
 
 impl AppBehavior {
@@ -89,8 +101,8 @@ impl AppBehavior {
             rng,
             attach_points: Vec::new(),
             recent: VecDeque::new(),
-            ws: HashSet::new(),
-            young_at_switch: HashSet::new(),
+            ws: Vec::new(),
+            young_at_switch: Vec::new(),
         }
     }
 
@@ -99,8 +111,9 @@ impl AppBehavior {
         &self.profile
     }
 
-    /// The current background working set (empty while foreground).
-    pub fn working_set(&self) -> &HashSet<ObjectId> {
+    /// The current background working set (empty while foreground), sorted
+    /// ascending without duplicates.
+    pub fn working_set(&self) -> &Vec<ObjectId> {
         &self.ws
     }
 
@@ -218,8 +231,7 @@ impl AppBehavior {
         if self.rng.chance(0.05 * dt_secs.min(1.0)) {
             self.drop_random_subtree(heap);
         }
-        let mut ws: Vec<ObjectId> = self.ws.iter().copied().filter(|&o| heap.contains(o)).collect();
-        ws.sort_unstable(); // HashSet order is not deterministic; sampling must be
+        let ws: Vec<ObjectId> = self.ws.iter().copied().filter(|&o| heap.contains(o)).collect();
         let n = ((dt_secs * 8.0) as usize).min(ws.len());
         for _ in 0..n {
             if let Some(&obj) = self.rng.choose(&ws) {
@@ -303,6 +315,7 @@ impl AppBehavior {
     /// background working set.
     pub fn enter_background(&mut self, heap: &Heap) {
         self.young_at_switch = self.recent.iter().copied().filter(|&o| heap.contains(o)).collect();
+        self.young_at_switch.sort_unstable();
         // Working set: a small slice of framework plus the most recent data.
         self.ws.clear();
         let live_attach: Vec<ObjectId> =
@@ -310,14 +323,16 @@ impl AppBehavior {
         let ws_target = (live_attach.len() / 8).clamp(4, 2000);
         for _ in 0..ws_target {
             if let Some(&o) = self.rng.choose(&live_attach) {
-                self.ws.insert(o);
+                self.ws.push(o);
             }
         }
         for &o in self.recent.iter().rev().take(64) {
             if heap.contains(o) {
-                self.ws.insert(o);
+                self.ws.push(o);
             }
         }
+        self.ws.sort_unstable();
+        self.ws.dedup();
     }
 
     /// Called when the app returns to the foreground. The young-allocation
@@ -343,16 +358,80 @@ impl AppBehavior {
     /// ground-truth graph properties (§4.2's analysis): objects near the
     /// roots, objects allocated just before backgrounding, working-set
     /// objects, and a thin scattering of everything else.
+    ///
+    /// Objects are visited in ascending id order. Each one falls in the
+    /// first class that applies: near-root (BFS depth ≤ 2), young at the
+    /// switch, working set, reachable (a cold seed), or unreachable. The
+    /// unreachable class has re-access chance 0 and draws no randomness,
+    /// which is why the depth search must still cover the whole reachable
+    /// graph, not just the near-root band.
     pub fn launch_access(&mut self, heap: &Heap) -> LaunchAccess {
         let model = self.profile.launch;
-        let depths = depth_map(heap, None);
+        let bands = depth_bands(heap, NEAR_ROOT_DEPTH);
+        let mut objects = Vec::new();
+        let mut included = ObjectMarks::for_heap(heap);
+        let (mut ws, mut young) = (Cursor::new(&self.ws), Cursor::new(&self.young_at_switch));
+        for obj in heap.object_ids() {
+            let in_ws = ws.seek(obj);
+            if heap.object(obj).context() == AllocContext::Background && !in_ws {
+                continue; // background bookkeeping is not launch state
+            }
+            // Warm classes re-access the object alone. Cold re-access is
+            // seed + data chain: re-opening one screen reloads a whole
+            // structure, not one random object. This keeps cold faults few
+            // and clustered.
+            let band = bands[obj.0 as usize];
+            let (p, chain) = if band <= NEAR_ROOT_DEPTH {
+                (model.near_root_reaccess, 1)
+            } else if young.seek(obj) {
+                (model.young_reaccess, 1)
+            } else if in_ws {
+                (model.ws_reaccess, 1)
+            } else if band == UNREACHED {
+                continue; // unreachable garbage cannot be accessed
+            } else {
+                (model.cold_reaccess, COLD_CHAIN)
+            };
+            if !self.rng.chance(p) {
+                continue;
+            }
+            let mut cur = obj;
+            for _ in 0..chain {
+                if included.insert(cur) {
+                    objects.push(cur);
+                }
+                match heap.object(cur).refs().first() {
+                    Some(&next) if heap.contains(next) => cur = next,
+                    _ => break,
+                }
+            }
+        }
+        let alloc_bytes = (heap.live_bytes() as f64 * model.launch_alloc_frac) as u64;
+        LaunchAccess { objects, alloc_bytes }
+    }
+
+    /// The original hash-map implementation of [`AppBehavior::launch_access`],
+    /// kept as its behavioural reference.
+    ///
+    /// It rebuilds a `HashMap` BFS depth map over the whole heap, sorts every
+    /// live id and probes `HashSet`s per object. The differential proptests
+    /// drive it and [`AppBehavior::launch_access`] through identical app
+    /// histories and require identical results and RNG state. It is not part
+    /// of the supported API surface.
+    #[doc(hidden)]
+    pub fn launch_access_reference(&mut self, heap: &Heap) -> LaunchAccess {
+        use std::collections::HashSet;
+        let model = self.profile.launch;
+        let ws: HashSet<ObjectId> = self.ws.iter().copied().collect();
+        let young_at_switch: HashSet<ObjectId> = self.young_at_switch.iter().copied().collect();
+        let depths = fleet_heap::depth_map(heap, None);
         let mut objects = Vec::new();
         let mut included: HashSet<ObjectId> = HashSet::new();
         let mut ids: Vec<ObjectId> = heap.object_ids().collect();
         ids.sort_unstable(); // deterministic iteration
         for obj in ids {
             let o = heap.object(obj);
-            if o.context() == AllocContext::Background && !self.ws.contains(&obj) {
+            if o.context() == AllocContext::Background && !ws.contains(&obj) {
                 continue; // background bookkeeping is not launch state
             }
             enum Class {
@@ -361,8 +440,8 @@ impl AppBehavior {
             }
             let class = match depths.get(&obj) {
                 Some(&d) if d <= 2 => Class::Warm(model.near_root_reaccess),
-                _ if self.young_at_switch.contains(&obj) => Class::Warm(model.young_reaccess),
-                _ if self.ws.contains(&obj) => Class::Warm(model.ws_reaccess),
+                _ if young_at_switch.contains(&obj) => Class::Warm(model.young_reaccess),
+                _ if ws.contains(&obj) => Class::Warm(model.ws_reaccess),
                 Some(_) => Class::ColdSeed,
                 None => Class::Warm(0.0), // unreachable garbage cannot be accessed
             };
@@ -413,11 +492,34 @@ impl AppBehavior {
     }
 }
 
+/// A forward-only membership probe over a sorted id list, for a walk that
+/// visits ids in ascending order.
+struct Cursor<'a> {
+    ids: &'a [ObjectId],
+    next: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(ids: &'a [ObjectId]) -> Self {
+        Cursor { ids, next: 0 }
+    }
+
+    /// True if `obj` is in the list. Successive calls must not decrease
+    /// `obj`.
+    fn seek(&mut self, obj: ObjectId) -> bool {
+        while self.ids.get(self.next).is_some_and(|&id| id < obj) {
+            self.next += 1;
+        }
+        self.ids.get(self.next) == Some(&obj)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::{profile_by_name, synthetic_app};
-    use fleet_heap::HeapConfig;
+    use fleet_heap::{depth_map, HeapConfig};
+    use std::collections::HashSet;
 
     fn build(name: &str, bytes: u64) -> (Heap, AppBehavior) {
         let mut heap = Heap::new(HeapConfig::default());

@@ -1,6 +1,7 @@
 //! Property tests on the workload models.
 
 use fleet_apps::{catalog, synthetic_app, AppBehavior};
+use fleet_gc::{BackgroundObjectGc, Collector, FullCopyingGc, GcCostModel, NoTouch};
 use fleet_heap::{depth_map, reachable_set, AllocContext, Heap, HeapConfig};
 use fleet_sim::SimRng;
 use proptest::prelude::*;
@@ -14,8 +15,76 @@ fn build(app_index: usize, target_kib: u64, seed: u64) -> (Heap, AppBehavior) {
     (heap, behavior)
 }
 
+/// One step of an app's life, as the device drives it.
+fn apply(op: u8, heap: &mut Heap, app: &mut AppBehavior) -> String {
+    let cost = GcCostModel::default();
+    match op {
+        0 => {
+            heap.set_context(AllocContext::Foreground);
+            format!("{:?}", app.foreground_step(heap, 0.5))
+        }
+        1 => {
+            heap.set_context(AllocContext::Background);
+            format!("{:?}", app.background_step(heap, 2.0))
+        }
+        2 => {
+            app.enter_background(heap);
+            heap.set_context(AllocContext::Background);
+            String::new()
+        }
+        3 => {
+            app.enter_foreground();
+            heap.set_context(AllocContext::Foreground);
+            String::new()
+        }
+        // Collections without a prune leave freed ids in the working set
+        // and the young snapshot; the samplers must skip them alike.
+        4 => format!("{:?}", FullCopyingGc::new(cost).collect(heap, &mut NoTouch)),
+        5 => format!("{:?}", BackgroundObjectGc::new(cost).collect(heap, &mut NoTouch)),
+        _ => {
+            app.prune(heap);
+            String::new()
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Differential oracle for the dense hot-launch sampler: two copies of
+    /// one app live through the same random history of foreground and
+    /// background slices, transitions, collections and prunes (so the heap
+    /// holds dead slots, unreachable garbage and stale working-set ids), and
+    /// at every launch the dense sampler and the hash-map reference must
+    /// return the same set and leave the app, RNG included, in the same
+    /// state.
+    #[test]
+    fn dense_launch_sampler_matches_reference(
+        app in 0usize..18,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(0u8..9, 4..24),
+    ) {
+        let (mut heap, mut dense) = build(app, 192, seed);
+        let (mut ref_heap, mut reference) = (heap.clone(), dense.clone());
+        for op in ops.into_iter().chain([8]) {
+            if op < 7 {
+                let a = apply(op, &mut heap, &mut dense);
+                let b = apply(op, &mut ref_heap, &mut reference);
+                prop_assert_eq!(a, b, "op {} diverged", op);
+                continue;
+            }
+            let got = dense.launch_access(&heap);
+            let want = reference.launch_access_reference(&ref_heap);
+            prop_assert_eq!(&got, &want);
+            // `Debug` covers every field, the RNG state included.
+            prop_assert_eq!(format!("{dense:?}"), format!("{reference:?}"));
+            // The launch burst that follows draws the next values.
+            let a = dense.launch_allocate(&mut heap, got.alloc_bytes);
+            let b = reference.launch_allocate(&mut ref_heap, want.alloc_bytes);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(heap.live_objects(), ref_heap.live_objects());
+        }
+    }
 
     #[test]
     fn initial_graphs_are_fully_reachable(

@@ -846,16 +846,7 @@ impl Device {
         };
 
         // --- touch the launch pages (this is where swapped-out state hurts).
-        let pages: Vec<u64> = {
-            let proc = self.procs.get(&pid).expect("alive");
-            let mut set: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-            for &obj in &access.objects {
-                for page in proc.heap.pages_of(obj) {
-                    set.insert(page);
-                }
-            }
-            set.into_iter().collect()
-        };
+        let pages = object_pages(&self.procs.get(&pid).expect("alive").heap, &access.objects);
         let mut outcome = AccessOutcome::default();
         // ASAP-style adaptive prepaging: pull in whatever the *previous*
         // hot-launch faulted, in one batched read overlapped with the render
@@ -1271,7 +1262,7 @@ impl Device {
         let depth = self.config.fleet.depth;
         let (stats, outcome, fatal) = {
             let proc = self.procs.get_mut(&pid).expect("alive");
-            let ws = proc.behavior.working_set().clone();
+            let ws = proc.behavior.working_set().iter().copied();
             // After the first grouping, re-group incrementally: regions that
             // are already cold keep their placement and are NOT re-traced,
             // so a re-grouping does not fault the swapped bulk back in.
@@ -1336,13 +1327,13 @@ impl Device {
     fn marvin_swap_pass(&mut self, pid: Pid) {
         let pages: Vec<u64> = {
             let proc = self.procs.get_mut(&pid).expect("alive");
-            let ws = proc.behavior.working_set().clone();
+            let ws = proc.behavior.working_set();
             let mut gc = proc.marvin.take().expect("marvin scheme");
             let ids: Vec<ObjectId> = proc.heap.object_ids().collect();
             for obj in ids {
                 // Object-LRU approximation: everything outside the working
                 // set is cold. Crucially launch-agnostic (§3.1 drawback iii).
-                if !ws.contains(&obj) {
+                if ws.binary_search(&obj).is_err() {
                     gc.state_mut().mark_swapped(&proc.heap, obj);
                 }
             }
@@ -1468,18 +1459,7 @@ impl Device {
     }
 
     fn touch_objects(&mut self, pid: Pid, objects: &[ObjectId], kind: AccessKind) {
-        let pages: Vec<u64> = {
-            let proc = self.procs.get(&pid).expect("alive");
-            let mut set: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-            for &obj in objects {
-                if proc.heap.contains(obj) {
-                    for page in proc.heap.pages_of(obj) {
-                        set.insert(page);
-                    }
-                }
-            }
-            set.into_iter().collect()
-        };
+        let pages = object_pages(&self.procs.get(&pid).expect("alive").heap, objects);
         let mut stall = SimDuration::ZERO;
         for run in page_runs(&pages) {
             stall +=
@@ -1636,10 +1616,9 @@ impl Device {
     /// swapped. Non-destructive apart from consuming RNG; intended for
     /// calibration and debugging.
     pub fn launch_breakdown(&mut self, pid: Pid) -> Vec<(String, u64, u64)> {
-        use std::collections::{BTreeMap, BTreeSet};
         let proc = self.procs.get_mut(&pid).expect("alive");
         let access = proc.behavior.launch_access(&proc.heap);
-        let mut buckets: BTreeMap<String, (BTreeSet<u64>, BTreeSet<u64>)> = BTreeMap::new();
+        let mut buckets: BTreeMap<String, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
         for &obj in &access.objects {
             let region = proc.heap.object(obj).region();
             let kind = proc.heap.region(region).kind().to_string();
@@ -1647,16 +1626,18 @@ impl Device {
                 let resident = self.mm.is_resident(pid, page * PAGE_SIZE);
                 let entry = buckets.entry(kind.clone()).or_default();
                 if resident {
-                    entry.0.insert(page);
+                    entry.0.push(page);
                 } else {
-                    entry.1.insert(page);
+                    entry.1.push(page);
                 }
             }
         }
-        buckets
-            .into_iter()
-            .map(|(kind, (res, swp))| (kind, res.len() as u64, swp.len() as u64))
-            .collect()
+        let distinct = |mut pages: Vec<u64>| {
+            pages.sort_unstable();
+            pages.dedup();
+            pages.len() as u64
+        };
+        buckets.into_iter().map(|(kind, (res, swp))| (kind, distinct(res), distinct(swp))).collect()
     }
 
     // ------------------------------------------------------------- rendering
@@ -1699,19 +1680,8 @@ impl Device {
             self.sync_heap(pid);
             let mut stall = SimDuration::ZERO;
             {
-                let pages: Vec<u64> = {
-                    let proc = self.procs.get(&pid).expect("alive");
-                    let mut set: std::collections::BTreeSet<u64> =
-                        std::collections::BTreeSet::new();
-                    for &obj in out.accessed.iter().take(work.touches as usize) {
-                        if proc.heap.contains(obj) {
-                            for page in proc.heap.pages_of(obj) {
-                                set.insert(page);
-                            }
-                        }
-                    }
-                    set.into_iter().collect()
-                };
+                let touched = &out.accessed[..out.accessed.len().min(work.touches as usize)];
+                let pages = object_pages(&self.procs.get(&pid).expect("alive").heap, touched);
                 for run in page_runs(&pages) {
                     stall += self
                         .access_with_retry(
@@ -1820,6 +1790,20 @@ impl Device {
             });
         }
     }
+}
+
+/// The sorted, deduplicated pages spanned by the live objects among
+/// `objects` (dead ids are skipped) — the input [`page_runs`] expects.
+fn object_pages(heap: &Heap, objects: &[ObjectId]) -> Vec<u64> {
+    let mut pages = Vec::with_capacity(objects.len());
+    for &obj in objects {
+        if heap.contains(obj) {
+            pages.extend(heap.pages_of(obj));
+        }
+    }
+    pages.sort_unstable();
+    pages.dedup();
+    pages
 }
 
 /// Groups sorted page indices into `(start, len)` runs of contiguous pages.

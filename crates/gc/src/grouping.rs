@@ -21,7 +21,7 @@ use crate::collector::{
     audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, GcCostModel, GcKind, GcStats,
     MemoryTouch,
 };
-use fleet_heap::{AllocContext, Heap, ObjectClass, ObjectId, RegionId, RegionKind};
+use fleet_heap::{AllocContext, Heap, ObjectClass, ObjectId, ObjectMarks, RegionId, RegionKind};
 use fleet_sim::SimDuration;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -58,15 +58,15 @@ pub struct GroupingOutcome {
 pub struct GroupingGc {
     cost: GcCostModel,
     depth: u32,
-    ws: HashSet<ObjectId>,
+    ws: ObjectMarks,
     incremental: bool,
 }
 
 impl GroupingGc {
     /// Creates a grouping collector with NRO depth `depth` and the given
-    /// working-set hint.
-    pub fn new(cost: GcCostModel, depth: u32, ws: HashSet<ObjectId>) -> Self {
-        GroupingGc { cost, depth, ws, incremental: false }
+    /// working-set hint (any collection of object ids).
+    pub fn new(cost: GcCostModel, depth: u32, ws: impl IntoIterator<Item = ObjectId>) -> Self {
+        GroupingGc { cost, depth, ws: ws.into_iter().collect(), incremental: false }
     }
 
     /// Enables *incremental* re-grouping: regions that are already
@@ -230,7 +230,7 @@ impl GroupingGc {
                     outcome.launch_objects += 1;
                     outcome.launch_bytes += size;
                     (RegionKind::Launch, Some(class))
-                } else if self.ws.contains(&obj) {
+                } else if self.ws.contains(obj) {
                     outcome.ws_objects += 1;
                     outcome.ws_bytes += size;
                     (RegionKind::Ws, Some(ObjectClass::Ws))

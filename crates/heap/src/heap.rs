@@ -399,7 +399,10 @@ impl Heap {
             .expect("object freed or out of range")
     }
 
-    /// Iterates over the identifiers of all live objects.
+    /// Iterates over the identifiers of all live objects, in ascending slot
+    /// order (which, since slots are never recycled, is allocation order).
+    /// Callers that need a deterministic walk rely on this order and need
+    /// not sort.
     pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.arena.iter().enumerate().filter(|(_, o)| o.is_some()).map(|(i, _)| ObjectId(i as u32))
     }
@@ -856,6 +859,20 @@ mod tests {
         let b = h.alloc(10);
         assert_ne!(a, b, "a stale id must never alias a new object");
         assert_eq!(h.live_objects(), 1);
+    }
+
+    #[test]
+    fn object_ids_ascend_in_slot_order() {
+        let mut h = small_heap();
+        let ids: Vec<ObjectId> = (0..6).map(|_| h.alloc(10)).collect();
+        h.free_object(ids[1]);
+        h.free_object(ids[4]);
+        let late = h.alloc(10);
+        h.free_object(ids[0]);
+        let last = h.alloc(10);
+        let expect = vec![ids[2], ids[3], ids[5], late, last];
+        assert_eq!(h.object_ids().collect::<Vec<_>>(), expect);
+        assert!(expect.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

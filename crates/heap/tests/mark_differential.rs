@@ -5,9 +5,11 @@
 //! once deduplicating through a `HashSet<ObjectId>`, once through an
 //! `ObjectMarks` bitmap — and must produce the identical visit order and
 //! the identical final mark set. Random insert/remove scripts additionally
-//! pin the bitmap's set semantics to the `HashSet` reference.
+//! pin the bitmap's set semantics to the `HashSet` reference, and the dense
+//! [`depth_bands`] BFS is checked against the `HashMap`-based [`depth_map`]
+//! it stands in for on the hot-launch path.
 
-use fleet_heap::{Heap, HeapConfig, ObjectId, ObjectMarks};
+use fleet_heap::{depth_bands, depth_map, Heap, HeapConfig, ObjectId, ObjectMarks, UNREACHED};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -84,6 +86,35 @@ proptest! {
         let mut sorted: Vec<ObjectId> = set.into_iter().collect();
         sorted.sort();
         prop_assert_eq!(sorted, marks.iter().collect::<Vec<_>>());
+    }
+
+    /// Random graphs (cycles, diamonds and unreachable islands come from the
+    /// random edge list) with some non-root objects freed, leaving dead slots
+    /// and dangling edges: the dense bands are the `depth_map` depths
+    /// saturated at the horizon, and exactly its keys are reached.
+    #[test]
+    fn depth_bands_match_depth_map(
+        spec in graph_strategy(120),
+        freed in proptest::collection::vec(0usize..120, 0..12),
+        horizon in 0u8..6,
+    ) {
+        let (mut heap, ids) = build(&spec);
+        for i in freed {
+            let id = ids[i % ids.len()];
+            if heap.contains(id) && !heap.roots().contains(&id) {
+                heap.free_object(id);
+            }
+        }
+        let depths = depth_map(&heap, None);
+        let bands = depth_bands(&heap, horizon);
+        prop_assert_eq!(bands.len(), heap.object_slots());
+        for &id in &ids {
+            let expect = match depths.get(&id) {
+                Some(&d) => d.min(u32::from(horizon) + 1) as u8,
+                None => UNREACHED,
+            };
+            prop_assert_eq!(bands[id.0 as usize], expect, "object {}", id);
+        }
     }
 
     /// Random insert/remove scripts: the bitmap is a drop-in `HashSet`.
