@@ -1358,7 +1358,7 @@ impl Device {
         // interleaving test in fleet-gc/tests/soundness.rs).
         if std::env::var_os("FLEET_VALIDATE_HEAP").is_some_and(|v| v == "1") {
             let proc = self.procs.get(&pid).expect("alive");
-            if let Err(msg) = proc.heap.validate_refs() {
+            if let Err(msg) = proc.heap.validate() {
                 panic!("heap invariant broken after {} GC of {}: {msg}", stats.kind, proc.name);
             }
         }

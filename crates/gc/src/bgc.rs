@@ -155,19 +155,7 @@ impl Collector for BackgroundObjectGc {
 
         // Free dead BGO; background from-regions are released only once
         // they hold nothing (always, unless the evacuation aborted).
-        for rid in bg_regions {
-            let dead: Vec<ObjectId> =
-                heap.region(rid).objects().iter().copied().filter(|&o| !live.contains(o)).collect();
-            for obj in dead {
-                stats.bytes_freed += heap.object(obj).size() as u64;
-                stats.objects_freed += 1;
-                heap.free_object(obj);
-            }
-            if heap.region(rid).objects().is_empty() {
-                heap.free_region(rid);
-                stats.regions_freed += 1;
-            }
-        }
+        stats.add_sweep(heap.sweep_regions(&bg_regions, |o| live.contains(o)));
 
         // Card aging. BGC consumed only one piece of the card table's
         // information — which FGO may reference background objects. The same

@@ -1,6 +1,6 @@
 //! The collector interface, cost model and statistics.
 
-use fleet_heap::Heap;
+use fleet_heap::{Heap, SweepStats};
 use fleet_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -149,6 +149,13 @@ impl GcStats {
             fault_stall: SimDuration::ZERO,
             evac_aborted: false,
         }
+    }
+
+    /// Adds what a from-space sweep freed.
+    pub(crate) fn add_sweep(&mut self, swept: SweepStats) {
+        self.objects_freed += swept.objects_freed;
+        self.bytes_freed += swept.bytes_freed;
+        self.regions_freed += swept.regions_freed;
     }
 
     /// Wall-clock duration of the collection (CPU + fault stalls).

@@ -129,19 +129,7 @@ impl Collector for FullCopyingGc {
         // Sweep the from-regions: anything unmarked is garbage. After a
         // clean evacuation this empties and frees every from-region; after
         // an abort, regions still holding in-place survivors stay mapped.
-        for &rid in &from_regions {
-            let dead: Vec<ObjectId> =
-                heap.region(rid).objects().iter().copied().filter(|&o| !live.contains(o)).collect();
-            for obj in dead {
-                stats.bytes_freed += heap.object(obj).size() as u64;
-                stats.objects_freed += 1;
-                heap.free_object(obj);
-            }
-            if heap.region(rid).objects().is_empty() {
-                heap.free_region(rid);
-                stats.regions_freed += 1;
-            }
-        }
+        stats.add_sweep(heap.sweep_regions(&from_regions, |o| live.contains(o)));
 
         // All addresses moved: stale cards are dropped, then the one piece
         // of card information that outlives a full GC is rebuilt — which

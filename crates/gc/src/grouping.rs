@@ -21,7 +21,9 @@ use crate::collector::{
     audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, GcCostModel, GcKind, GcStats,
     MemoryTouch,
 };
-use fleet_heap::{AllocContext, Heap, ObjectClass, ObjectId, ObjectMarks, RegionId, RegionKind};
+use fleet_heap::{
+    AllocContext, Heap, ObjectClass, ObjectId, ObjectMarks, RegionId, RegionKind, RegionSet,
+};
 use fleet_sim::SimDuration;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -108,6 +110,236 @@ impl GroupingGc {
         audit_gc_start(heap, GcKind::Grouping, !self.incremental);
 
         // Incremental mode: existing cold regions stay in place untouched.
+        let mut kept_cold = RegionSet::for_heap(heap);
+        if self.incremental {
+            for region in heap.regions().filter(|r| r.kind() == RegionKind::Cold) {
+                kept_cold.insert(region.id());
+            }
+        }
+        let from_regions: Vec<RegionId> =
+            heap.region_ids().into_iter().filter(|&id| !kept_cold.contains(id)).collect();
+
+        // FYO: foreground objects in regions allocated since the last GC
+        // (§5.3.1 uses ART's per-region newly-allocated flag).
+        let fyo_regions: RegionSet =
+            heap.regions().filter(|r| r.newly_allocated()).map(|r| r.id()).collect();
+
+        heap.retire_alloc_targets();
+
+        // Dirty cards over kept cold regions: modified cold objects may
+        // reference new objects; scan them (they are resident — recently
+        // written) without tracing the rest of the cold space.
+        let mut cold_sources: Vec<ObjectId> = Vec::new();
+        if self.incremental {
+            let dirty: Vec<usize> = heap.cards().dirty_cards().collect();
+            for card in dirty {
+                stats.cards_scanned += 1;
+                stats.cpu += self.cost.per_card_scan;
+                for obj in heap.objects_in_card(card) {
+                    if kept_cold.contains(heap.object(obj).region()) {
+                        cold_sources.push(obj);
+                    }
+                }
+            }
+            cold_sources.sort_unstable();
+            cold_sources.dedup();
+        }
+
+        // BFS with a FIFO mark queue; depth comes for free from the
+        // traversal order (the paper's "depth delimiter" in the mark queue)
+        // and rides in the queue with each object. Objects within the NRO
+        // horizon D are marked as they leave the queue.
+        let mut marked = ObjectMarks::for_heap(heap);
+        let mut nro = ObjectMarks::for_heap(heap);
+        let mut order: Vec<ObjectId> = Vec::new();
+        let mut queue: VecDeque<(ObjectId, u32)> = VecDeque::new();
+        for &root in heap.roots() {
+            if marked.insert(root) {
+                queue.push_back((root, 0));
+            }
+        }
+        // Modified cold objects seed the queue's frontier as depth-boundary
+        // sources: their references are scanned but they stay in place.
+        for &src in &cold_sources {
+            stats.fault_stall += touch.touch(heap.address(src), heap.object(src).size());
+            stats.cpu += self.cost.per_object_trace;
+            stats.objects_traced += 1;
+            for &next in heap.object(src).refs() {
+                if !kept_cold.contains(heap.object(next).region()) && marked.insert(next) {
+                    // Conservative depth: beyond the NRO horizon.
+                    queue.push_back((next, self.depth + 1));
+                }
+            }
+        }
+        while let Some((obj, d)) = queue.pop_front() {
+            stats.fault_stall += touch.touch(heap.address(obj), heap.object(obj).size());
+            stats.cpu += self.cost.per_object_trace;
+            stats.objects_traced += 1;
+            order.push(obj);
+            if d <= self.depth {
+                nro.insert(obj);
+            }
+            for &next in heap.object(obj).refs() {
+                // Kept-cold targets are a live boundary: kept in place,
+                // never accessed.
+                if !kept_cold.contains(heap.object(next).region()) && marked.insert(next) {
+                    queue.push_back((next, d + 1));
+                }
+            }
+        }
+
+        let mark_end = stats.cpu + stats.fault_stall;
+        let traced = stats.objects_traced;
+        obs_gc_phase(heap, "gc_mark", 1, SimDuration::ZERO, mark_end, || {
+            vec![("objects", traced), ("cards", stats.cards_scanned)]
+        });
+
+        // Classify and copy. BGO stay in background regions; FGO are grouped.
+        // A copy-budget denial aborts the grouping mid-way: objects not yet
+        // copied keep their old placement and class (no grouping benefit,
+        // but nothing moves without a backing frame) and the tallies below
+        // honestly reflect only what was actually grouped.
+        let mut abort_obs: Option<(SimDuration, u32, u64)> = None;
+        for (i, &obj) in order.iter().enumerate() {
+            let size = heap.object(obj).size() as u64;
+            if !touch.copy_budget(size) {
+                audit_evac_abort(heap, heap.object(obj).region().0, (order.len() - i) as u64);
+                stats.evac_aborted = true;
+                abort_obs = Some((
+                    (stats.cpu + stats.fault_stall).saturating_sub(mark_end),
+                    heap.object(obj).region().0,
+                    (order.len() - i) as u64,
+                ));
+                break;
+            }
+            let context = heap.object(obj).context();
+            let (dest, class) = if context == AllocContext::Background {
+                (RegionKind::Bg, None)
+            } else {
+                let is_nro = nro.contains(obj);
+                let is_fyo = fyo_regions.contains(heap.object(obj).region());
+                if is_nro {
+                    outcome.nro_objects += 1;
+                }
+                if is_fyo {
+                    outcome.fyo_objects += 1;
+                }
+                if is_nro || is_fyo {
+                    let class = if is_nro { ObjectClass::Nro } else { ObjectClass::Fyo };
+                    outcome.launch_objects += 1;
+                    outcome.launch_bytes += size;
+                    (RegionKind::Launch, Some(class))
+                } else if self.ws.contains(obj) {
+                    outcome.ws_objects += 1;
+                    outcome.ws_bytes += size;
+                    (RegionKind::Ws, Some(ObjectClass::Ws))
+                } else {
+                    outcome.cold_objects += 1;
+                    outcome.cold_bytes += size;
+                    (RegionKind::Cold, Some(ObjectClass::Cold))
+                }
+            };
+            heap.copy_object(obj, dest);
+            heap.set_class(obj, class);
+            stats.bytes_copied += size;
+            stats.cpu += self.cost.copy_cost(size);
+        }
+        let copy_dur = (stats.cpu + stats.fault_stall).saturating_sub(mark_end);
+        let copied = stats.bytes_copied;
+        obs_gc_phase(heap, "gc_copy", 1, mark_end, copy_dur, || vec![("bytes", copied)]);
+        if let Some((rel, region, left)) = abort_obs {
+            obs_gc_phase(heap, "gc_evac_abort", 2, rel, SimDuration::ZERO, || {
+                vec![("region", u64::from(region)), ("objects_left", left)]
+            });
+        }
+
+        // Sweep the from-space: unmarked objects are garbage.
+        stats.add_sweep(heap.sweep_regions(&from_regions, |o| marked.contains(o)));
+
+        // Record the grouped ranges for madvise (§5.3.2). Whole regions are
+        // reported: their pages are mapped and cohesive by construction.
+        for region in heap.regions() {
+            let range = (region.base(), region.size() as u64);
+            match region.kind() {
+                RegionKind::Launch => outcome.launch_ranges.push(range),
+                RegionKind::Ws => outcome.ws_ranges.push(range),
+                RegionKind::Cold => outcome.cold_ranges.push(range),
+                _ => {}
+            }
+        }
+
+        // Cards moved with the objects: clear, then rebuild the remembered
+        // sets the incremental collectors rely on:
+        //
+        //  * any FGO referencing a *background* object (a following BGC must
+        //    find the edge without tracing the foreground heap),
+        //  * any object placed in a **cold** region that references a
+        //    non-cold object (a following *incremental* re-grouping treats
+        //    cold regions as an untraced boundary, so such an edge may be
+        //    the only path keeping the target alive),
+        //  * the cold sources scanned this round (their edges stay relevant
+        //    until a full grouping re-examines the cold space).
+        let cold_source_spans: Vec<(u64, u64)> =
+            cold_sources.iter().map(|&o| (heap.address(o), heap.object(o).size() as u64)).collect();
+        heap.cards_mut().clear();
+        for (addr, size) in cold_source_spans {
+            heap.cards_mut().dirty_range(addr, size);
+        }
+        let mut bg_regions = RegionSet::for_heap(heap);
+        let mut cold_regions = RegionSet::for_heap(heap);
+        for region in heap.regions() {
+            match region.kind() {
+                RegionKind::Bg => bg_regions.insert(region.id()),
+                RegionKind::Cold => cold_regions.insert(region.id()),
+                _ => false,
+            };
+        }
+        let needs_card: Vec<ObjectId> = order
+            .iter()
+            .copied()
+            .filter(|&o| {
+                let obj = heap.object(o);
+                let refs_bgo = obj.context() == AllocContext::Foreground
+                    && obj.refs().iter().any(|&r| bg_regions.contains(heap.object(r).region()));
+                if refs_bgo {
+                    return true;
+                }
+                cold_regions.contains(obj.region())
+                    && obj.refs().iter().any(|&r| !cold_regions.contains(heap.object(r).region()))
+            })
+            .collect();
+        for obj in needs_card {
+            let addr = heap.address(obj);
+            let size = heap.object(obj).size() as u64;
+            heap.cards_mut().dirty_range(addr, size);
+        }
+
+        // Post-GC allocations must open fresh (flagged) regions, not
+        // continue into the to-regions that survivors were copied to.
+        heap.retire_alloc_targets();
+        heap.clear_newly_allocated_flags();
+        heap.bump_gc_epoch();
+        heap.update_limit_after_gc();
+        audit_gc_end(heap, &stats);
+        (stats, outcome)
+    }
+
+    /// The grouping collection as it was written on hashed sets, with the
+    /// from-space sweep inline: the differential oracle for
+    /// [`GroupingGc::collect_grouping`], which must leave the heap, the
+    /// statistics and the outcome bit-identical.
+    #[doc(hidden)]
+    pub fn collect_grouping_reference(
+        &mut self,
+        heap: &mut Heap,
+        touch: &mut dyn MemoryTouch,
+    ) -> (GcStats, GroupingOutcome) {
+        let mut stats = GcStats::new(GcKind::Grouping);
+        let mut outcome = GroupingOutcome::default();
+        stats.stw += self.cost.stw_base;
+        audit_gc_start(heap, GcKind::Grouping, !self.incremental);
+
+        // Incremental mode: existing cold regions stay in place untouched.
         let kept_cold: HashSet<RegionId> = if self.incremental {
             heap.regions().filter(|r| r.kind() == RegionKind::Cold).map(|r| r.id()).collect()
         } else {
@@ -147,7 +379,6 @@ impl GroupingGc {
         let mut depth_of: HashMap<ObjectId, u32> = HashMap::new();
         let mut order: Vec<ObjectId> = Vec::new();
         let mut queue: VecDeque<ObjectId> = VecDeque::new();
-        let mut cold_boundary: HashSet<ObjectId> = HashSet::new();
         for &root in heap.roots() {
             if let std::collections::hash_map::Entry::Vacant(e) = depth_of.entry(root) {
                 e.insert(0);
@@ -178,7 +409,6 @@ impl GroupingGc {
             for &next in heap.object(obj).refs() {
                 if kept_cold.contains(&heap.object(next).region()) {
                     // Live boundary: kept in place, never accessed.
-                    cold_boundary.insert(next);
                     continue;
                 }
                 if let std::collections::hash_map::Entry::Vacant(e) = depth_of.entry(next) {
@@ -187,7 +417,6 @@ impl GroupingGc {
                 }
             }
         }
-        let _ = cold_boundary;
 
         let mark_end = stats.cpu + stats.fault_stall;
         let traced = stats.objects_traced;
@@ -257,19 +486,14 @@ impl GroupingGc {
         // Sweep the from-space: unmarked objects are garbage; regions are
         // released only once empty (always, unless the evacuation aborted).
         for &rid in &from_regions {
-            let dead: Vec<ObjectId> = heap
-                .region(rid)
-                .objects()
-                .iter()
-                .copied()
-                .filter(|&o| !depth_of.contains_key(&o))
-                .collect();
+            let dead: Vec<ObjectId> =
+                heap.region(rid).objects().filter(|&o| !depth_of.contains_key(&o)).collect();
             for obj in dead {
                 stats.bytes_freed += heap.object(obj).size() as u64;
                 stats.objects_freed += 1;
                 heap.free_object(obj);
             }
-            if heap.region(rid).objects().is_empty() {
+            if heap.region(rid).is_empty() {
                 heap.free_region(rid);
                 stats.regions_freed += 1;
             }

@@ -149,19 +149,7 @@ impl Collector for MinorGc {
                 vec![("region", u64::from(region)), ("objects_left", left)]
             });
         }
-        for rid in young_regions {
-            let dead: Vec<ObjectId> =
-                heap.region(rid).objects().iter().copied().filter(|&o| !live.contains(o)).collect();
-            for obj in dead {
-                stats.bytes_freed += heap.object(obj).size() as u64;
-                stats.objects_freed += 1;
-                heap.free_object(obj);
-            }
-            if heap.region(rid).objects().is_empty() {
-                heap.free_region(rid);
-                stats.regions_freed += 1;
-            }
-        }
+        stats.add_sweep(heap.sweep_regions(&young_regions, |o| live.contains(o)));
 
         // Card aging, with the same preservation rules as BGC: boundary
         // objects that reference background objects keep their cards (BGC's

@@ -8,10 +8,11 @@
 //! adversarial property test.
 
 use fleet_gc::{
-    BackgroundObjectGc, Collector, FullCopyingGc, GcCostModel, GroupingGc, MarvinGc, MinorGc,
-    NoTouch,
+    BackgroundObjectGc, Collector, FullCopyingGc, GcCostModel, GroupingGc, MarvinGc, MemoryTouch,
+    MinorGc, NoTouch,
 };
 use fleet_heap::{reachable_set, AllocContext, Heap, HeapConfig, ObjectId};
+use fleet_sim::SimDuration;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -55,6 +56,83 @@ fn pick(heap: &Heap, index: u8) -> Option<ObjectId> {
     }
 }
 
+/// Applies a mutator op (anything but [`Op::Collect`], which is ignored).
+fn mutate(heap: &mut Heap, op: Op) {
+    match op {
+        Op::Alloc { size, attach, anchor } => {
+            let obj = heap.alloc(size);
+            if attach {
+                if let Some(target) = pick(heap, anchor) {
+                    if target != obj {
+                        heap.add_ref(target, obj);
+                    }
+                }
+            }
+        }
+        Op::Link { from, to } => {
+            if let (Some(f), Some(t)) = (pick(heap, from), pick(heap, to)) {
+                heap.add_ref(f, t);
+            }
+        }
+        Op::Unlink { from } => {
+            if let Some(f) = pick(heap, from) {
+                if let Some(&victim) = heap.object(f).refs().first() {
+                    heap.remove_ref(f, victim);
+                }
+            }
+        }
+        Op::FlipContext => {
+            let next = match heap.context() {
+                AllocContext::Foreground => AllocContext::Background,
+                AllocContext::Background => AllocContext::Foreground,
+            };
+            heap.set_context(next);
+        }
+        Op::Collect { .. } => {}
+    }
+}
+
+/// Grants copies until `left` bytes are used, then denies them (an armed
+/// fault plan's copy budget), so evacuations can abort mid-way; `None`
+/// grants every copy.
+struct Budget {
+    left: Option<u64>,
+}
+
+impl MemoryTouch for Budget {
+    fn touch(&mut self, _addr: u64, _size: u32) -> SimDuration {
+        SimDuration::ZERO
+    }
+
+    fn copy_budget(&mut self, bytes: u64) -> bool {
+        match &mut self.left {
+            None => true,
+            Some(left) if *left >= bytes => {
+                *left -= bytes;
+                true
+            }
+            Some(_) => false,
+        }
+    }
+}
+
+/// Everything a collector can leave behind that later steps observe.
+fn heap_state(heap: &Heap) -> String {
+    let objects: Vec<_> = heap
+        .object_ids()
+        .map(|id| {
+            let o = heap.object(id);
+            (id, o.region(), o.offset(), o.class(), o.context(), o.refs().to_vec())
+        })
+        .collect();
+    let regions: Vec<_> = heap
+        .regions()
+        .map(|r| (r.id(), r.kind(), r.used(), r.newly_allocated(), r.objects().collect::<Vec<_>>()))
+        .collect();
+    let cards: Vec<usize> = heap.cards().dirty_cards().collect();
+    format!("{objects:?}\n{regions:?}\n{cards:?}\n{:?}\n{}", heap.stats(), heap.gc_epoch())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -68,35 +146,6 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Alloc { size, attach, anchor } => {
-                    let obj = heap.alloc(size);
-                    if attach {
-                        if let Some(target) = pick(&heap, anchor) {
-                            if target != obj {
-                                heap.add_ref(target, obj);
-                            }
-                        }
-                    }
-                }
-                Op::Link { from, to } => {
-                    if let (Some(f), Some(t)) = (pick(&heap, from), pick(&heap, to)) {
-                        heap.add_ref(f, t);
-                    }
-                }
-                Op::Unlink { from } => {
-                    if let Some(f) = pick(&heap, from) {
-                        if let Some(&victim) = heap.object(f).refs().first() {
-                            heap.remove_ref(f, victim);
-                        }
-                    }
-                }
-                Op::FlipContext => {
-                    let next = match heap.context() {
-                        AllocContext::Foreground => AllocContext::Background,
-                        AllocContext::Background => AllocContext::Foreground,
-                    };
-                    heap.set_context(next);
-                }
                 Op::Collect { which } => {
                     let live_before = reachable_set(&heap);
                     match which {
@@ -124,9 +173,11 @@ proptest! {
                     for &id in &live_before {
                         prop_assert!(heap.contains(id), "collector {which} freed reachable {id}");
                     }
-                    // No dangling references anywhere in the heap.
-                    prop_assert!(heap.validate_refs().is_ok(), "{:?}", heap.validate_refs());
+                    // No dangling references, and region lists agree with
+                    // the arena.
+                    prop_assert!(heap.validate().is_ok(), "{:?}", heap.validate());
                 }
+                _ => mutate(&mut heap, op),
             }
             // The root never dies; accounting stays coherent.
             prop_assert!(heap.contains(root));
@@ -182,6 +233,72 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Differential oracle for the dense grouping GC: the same op scripts
+    /// run on two copies of a heap, one grouped by `collect_grouping`, the
+    /// other by the hashed-set `collect_grouping_reference`, with random
+    /// working-set hints, NRO depths and copy budgets (so evacuations may
+    /// abort). Statistics, outcomes and every observable piece of heap
+    /// state must stay identical, and both heaps must validate after every
+    /// op.
+    #[test]
+    fn dense_grouping_matches_reference(
+        ops in proptest::collection::vec(op_strategy(), 1..120),
+        ws_mask in any::<u8>(),
+        depth in 0u32..4,
+        budget in 0u64..40_000,
+    ) {
+        // Half the cases copy without limit.
+        let budget = (budget < 20_000).then_some(budget);
+        let mut heap = Heap::new(HeapConfig::default());
+        let root = heap.alloc(64);
+        heap.add_root(root);
+        let mut reference = heap.clone();
+        let (mut marvin, mut ref_marvin) =
+            (MarvinGc::new(GcCostModel::default(), 1024), MarvinGc::new(GcCostModel::default(), 1024));
+        let mut groupings = 0u32;
+        let cost = GcCostModel::default();
+
+        for op in ops {
+            match op {
+                Op::Collect { which: which @ (3 | 4) } => {
+                    let incremental = which == 4 && groupings > 0;
+                    groupings += 1;
+                    let ws: Vec<ObjectId> =
+                        heap.object_ids().filter(|o| (o.0 as u8 ^ ws_mask).is_multiple_of(4)).collect();
+                    let got = GroupingGc::new(cost, depth, ws.clone())
+                        .with_incremental(incremental)
+                        .collect_grouping(&mut heap, &mut Budget { left: budget });
+                    let want = GroupingGc::new(cost, depth, ws)
+                        .with_incremental(incremental)
+                        .collect_grouping_reference(&mut reference, &mut Budget { left: budget });
+                    prop_assert_eq!(got, want);
+                }
+                Op::Collect { which } => {
+                    for (h, m) in [(&mut heap, &mut marvin), (&mut reference, &mut ref_marvin)] {
+                        let mut touch = Budget { left: budget };
+                        match which {
+                            0 => FullCopyingGc::new(cost).collect(h, &mut touch),
+                            1 => MinorGc::new(cost).collect(h, &mut touch),
+                            2 => BackgroundObjectGc::new(cost).collect(h, &mut touch),
+                            _ => m.collect(h, &mut touch),
+                        };
+                    }
+                }
+                _ => {
+                    mutate(&mut heap, op);
+                    mutate(&mut reference, op);
+                }
+            }
+            prop_assert!(heap.validate().is_ok(), "{:?}", heap.validate());
+            prop_assert!(reference.validate().is_ok(), "{:?}", reference.validate());
+            prop_assert_eq!(heap_state(&heap), heap_state(&reference));
+        }
+    }
+}
+
 /// Regression: a *young* FGO holding the only edge to a BGO. The write
 /// barrier dirties the young object's card; the minor GC's card aging must
 /// preserve it for the surviving object (BGC's remembered set), or the next
@@ -212,5 +329,5 @@ fn minor_gc_preserves_young_fgo_to_bgo_cards() {
 
     BackgroundObjectGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
     assert!(heap.contains(bgo), "BGC freed a BGO still referenced by a live young FGO");
-    assert!(heap.validate_refs().is_ok(), "{:?}", heap.validate_refs());
+    assert!(heap.validate().is_ok(), "{:?}", heap.validate());
 }

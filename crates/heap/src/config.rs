@@ -63,6 +63,13 @@ impl HeapConfig {
                 self.region_size
             ));
         }
+        if self.region_size > crate::region::MAX_REGION_SIZE {
+            return Err(format!(
+                "region_size {} exceeds the largest indexable region ({} bytes)",
+                self.region_size,
+                crate::region::MAX_REGION_SIZE
+            ));
+        }
         if self.card_shift == 0 || (1u64 << self.card_shift) > self.region_size as u64 {
             return Err(format!("card_shift {} must address at most one region", self.card_shift));
         }
@@ -102,6 +109,12 @@ mod tests {
     #[test]
     fn rejects_unaligned_region() {
         let cfg = HeapConfig { region_size: 1000, ..HeapConfig::default() };
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_unindexable_region() {
+        let cfg = HeapConfig { region_size: u32::MAX - 4095, ..HeapConfig::default() };
         assert!(cfg.validate().is_err());
     }
 

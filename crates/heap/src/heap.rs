@@ -16,9 +16,8 @@
 use crate::card::CardTable;
 use crate::config::{HeapConfig, PAGE_SIZE};
 use crate::object::{AllocContext, Object, ObjectClass, ObjectId};
-use crate::region::{Region, RegionId, RegionKind};
+use crate::region::{Entry, Region, RegionId, RegionKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Emits a flight-recorder event stamped with the owning process id;
 /// compiled to nothing without the `audit` feature.
@@ -75,6 +74,17 @@ pub struct HeapStats {
     pub limit: u64,
 }
 
+/// What [`Heap::sweep_regions`] freed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Objects freed.
+    pub objects_freed: u64,
+    /// Bytes of the objects freed.
+    pub bytes_freed: u64,
+    /// Regions released because they ended up empty.
+    pub regions_freed: u64,
+}
+
 /// The region-based Java heap.
 ///
 /// # Examples
@@ -96,7 +106,9 @@ pub struct Heap {
     regions: Vec<Option<Region>>,
     arena: Vec<Option<Object>>,
     roots: Vec<ObjectId>,
-    alloc_targets: HashMap<RegionKind, RegionId>,
+    /// Current bump-allocation region per kind, indexed by
+    /// [`RegionKind::index`].
+    alloc_targets: [Option<RegionId>; RegionKind::COUNT],
     context: AllocContext,
     gc_epoch: u32,
     limit: u64,
@@ -128,7 +140,7 @@ impl Heap {
             regions: Vec::new(),
             arena: Vec::new(),
             roots: Vec::new(),
-            alloc_targets: HashMap::new(),
+            alloc_targets: [None; RegionKind::COUNT],
             context: AllocContext::Foreground,
             gc_epoch: 0,
             limit: config.initial_limit,
@@ -184,8 +196,8 @@ impl Heap {
         if self.context != context {
             self.context = context;
             // New state, new allocation regions: keeps FGO and BGO apart.
-            self.alloc_targets.remove(&RegionKind::Eden);
-            self.alloc_targets.remove(&RegionKind::Bg);
+            self.alloc_targets[RegionKind::Eden.index()] = None;
+            self.alloc_targets[RegionKind::Bg.index()] = None;
         }
     }
 
@@ -258,12 +270,12 @@ impl Heap {
             .and_then(|r| r.take())
             .expect("region freed or out of range");
         assert!(
-            region.objects().is_empty(),
+            region.is_empty(),
             "freeing a region that still holds {} objects",
-            region.objects().len()
+            region.object_count()
         );
         assert!(
-            !self.alloc_targets.values().any(|&t| t == id),
+            !self.alloc_targets.contains(&Some(id)),
             "freeing a region that is an active allocation target"
         );
         self.used_bytes -= region.used() as u64;
@@ -281,7 +293,7 @@ impl Heap {
     /// separates "regions allocated after this GC" (newly-allocated flag)
     /// from everything older.
     pub fn retire_alloc_targets(&mut self) {
-        self.alloc_targets.clear();
+        self.alloc_targets = [None; RegionKind::COUNT];
     }
 
     /// Clears the newly-allocated flag on every region (done at GC end).
@@ -320,8 +332,8 @@ impl Heap {
         assert!(size > 0, "cannot allocate a zero-sized object");
         assert!(size <= self.config.region_size, "object of {size} bytes exceeds the region size");
         let id = self.reserve_slot();
-        let (region_id, offset) = self.bump_into(kind, size, id);
-        let object = Object::new(size, context, self.gc_epoch, region_id, offset);
+        let (region_id, offset, list_index) = self.bump_into(kind, size, id);
+        let object = Object::new(size, context, self.gc_epoch, region_id, offset, list_index);
         self.arena[id.0 as usize] = Some(object);
         self.used_bytes += size as u64;
         self.live_bytes += size as u64;
@@ -340,19 +352,24 @@ impl Heap {
     // object. The cost is 16 bytes per dead slot, negligible at simulation
     // scale.
     fn reserve_slot(&mut self) -> ObjectId {
+        // Region object lists tag removed entries with the top bit.
+        assert!(self.arena.len() < 1 << 31, "object arena exhausted");
         let slot = self.arena.len() as u32;
         self.arena.push(None);
         ObjectId(slot)
     }
 
-    fn bump_into(&mut self, kind: RegionKind, size: u32, id: ObjectId) -> (RegionId, u32) {
-        if let Some(&target) = self.alloc_targets.get(&kind) {
-            if let Some(offset) = self.region_mut(target).bump(size, id) {
-                return (target, offset);
+    /// Bump-allocates `size` bytes for `id` in the current target region of
+    /// `kind`, opening a fresh one when needed. Returns the region, the
+    /// offset and the object's index in the region's object list.
+    fn bump_into(&mut self, kind: RegionKind, size: u32, id: ObjectId) -> (RegionId, u32, u32) {
+        if let Some(target) = self.alloc_targets[kind.index()] {
+            if let Some((offset, index)) = self.region_mut(target).bump(size, id) {
+                return (target, offset, index);
             }
         }
         let fresh = self.create_region(kind);
-        self.alloc_targets.insert(kind, fresh);
+        self.alloc_targets[kind.index()] = Some(fresh);
         // Slow-path allocation opened a fresh region: an instant span on the
         // app's track ("heap" cat — the device feeds these separately so
         // they never adopt GC phase spans as children).
@@ -368,9 +385,23 @@ impl Heap {
                 args: vec![("region", u64::from(fresh.0)), ("size", u64::from(size))],
             })
         });
-        let offset =
+        let (offset, index) =
             self.region_mut(fresh).bump(size, id).expect("fresh region can hold any valid object");
-        (fresh, offset)
+        (fresh, offset, index)
+    }
+
+    /// Takes object `id` (which sits at `offset`, list index `index`) off
+    /// `region`'s object list, compacting the list when tombstones have
+    /// piled up.
+    fn unlist(&mut self, region: RegionId, index: u32, offset: u32) {
+        let slot = self.regions.get_mut(region.0 as usize).and_then(|r| r.as_mut());
+        let region = slot.expect("region freed or out of range");
+        if region.remove_at(index, offset) {
+            let arena = &mut self.arena;
+            region.compact(|obj, index| {
+                arena[obj.0 as usize].as_mut().expect("listed object is live").set_list_index(index)
+            });
+        }
     }
 
     /// The object with identifier `id`.
@@ -538,14 +569,14 @@ impl Heap {
     ///
     /// Panics if the object has been freed.
     pub fn copy_object(&mut self, id: ObjectId, dest: RegionKind) {
-        let (size, old_region) = {
+        let (size, old_region, old_offset, old_index) = {
             let o = self.object(id);
-            (o.size(), o.region())
+            (o.size(), o.region(), o.offset(), o.list_index())
         };
-        self.region_mut(old_region).remove_object(id);
-        let (new_region, offset) = self.bump_into(dest, size, id);
+        self.unlist(old_region, old_index, old_offset);
+        let (new_region, offset, index) = self.bump_into(dest, size, id);
         self.used_bytes += size as u64; // the from-region copy is reclaimed at free_region
-        self.object_mut(id).relocate(new_region, offset);
+        self.object_mut(id).relocate(new_region, offset, index);
         audit!(self, |pid| fleet_audit::AuditEvent::ObjectCopied {
             pid,
             object: id.0 as u64,
@@ -567,7 +598,7 @@ impl Heap {
             .get_mut(id.0 as usize)
             .and_then(|o| o.take())
             .expect("object freed or out of range");
-        self.region_mut(obj.region()).remove_object(id);
+        self.unlist(obj.region(), obj.list_index(), obj.offset());
         self.live_bytes -= obj.size() as u64;
         self.live_objects -= 1;
         audit!(self, |pid| fleet_audit::AuditEvent::ObjectFreed {
@@ -643,7 +674,12 @@ impl Heap {
         }
     }
 
-    /// Objects whose addresses fall inside card `card` of the card table.
+    /// Objects whose addresses fall inside card `card` of the card table,
+    /// in increasing-offset order.
+    ///
+    /// A binary search over the region's offset-sorted object list finds
+    /// the first object that can overlap the card; only the card's span of
+    /// the list is read after it.
     pub fn objects_in_card(&self, card: usize) -> Vec<ObjectId> {
         let range = self.cards.card_range(card);
         let Some(region_id) = self.region_of_addr(range.start) else {
@@ -651,18 +687,42 @@ impl Heap {
         };
         let region = self.region(region_id);
         let base = region.base();
-        region
-            .objects()
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let o = self.object(id);
-                let addr = base + o.offset() as u64;
-                let end = addr + o.size() as u64;
-                // Any overlap with the card range counts.
-                addr < range.end && end > range.start
-            })
-            .collect()
+        // Only the region holding the card's first byte is searched, with
+        // the card's span clamped to it.
+        let start = (range.start - base) as u32;
+        let end = (range.end - base).min(region.size() as u64) as u32;
+        region.objects_overlapping(start, end, |id| {
+            let o = self.object(id);
+            (o.offset(), o.size())
+        })
+    }
+
+    /// Releases the garbage in `from` after an evacuation: in each region,
+    /// in list order, frees every object `is_live` rejects, then frees the
+    /// region if that left it empty (always, unless the evacuation aborted
+    /// and survivors stayed in place). Regions are visited in the order
+    /// given, so the freeing order is the collector's.
+    pub fn sweep_regions(
+        &mut self,
+        from: &[RegionId],
+        is_live: impl Fn(ObjectId) -> bool,
+    ) -> SweepStats {
+        let mut swept = SweepStats::default();
+        let mut dead: Vec<ObjectId> = Vec::new();
+        for &rid in from {
+            dead.clear();
+            dead.extend(self.region(rid).objects().filter(|&o| !is_live(o)));
+            for &obj in &dead {
+                swept.bytes_freed += self.object(obj).size() as u64;
+                swept.objects_freed += 1;
+                self.free_object(obj);
+            }
+            if self.region(rid).is_empty() {
+                self.free_region(rid);
+                swept.regions_freed += 1;
+            }
+        }
+        swept
     }
 
     /// The BGC card table.
@@ -758,6 +818,80 @@ impl Heap {
                     return Err(format!("obj#{i} holds a dangling reference to {r}"));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Verifies the whole heap: [`Heap::validate_refs`], plus the region
+    /// object lists against the arena. Every live object is listed exactly
+    /// once, in its own region, at the list index it records; each list is
+    /// in strictly ascending offset order (tombstones included) with live
+    /// entries matching the region's object count; no list is left
+    /// uncompacted; and the counts sum to the heap's live-object total.
+    /// O(heap).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn validate(&self) -> Result<(), String> {
+        self.validate_refs()?;
+        let mut listed = 0u64;
+        for region in self.regions() {
+            let rid = region.id();
+            let mut live = 0usize;
+            let mut prev_offset: Option<u32> = None;
+            for (index, entry) in region.entries().enumerate() {
+                let offset = match entry {
+                    Entry::Live(id) => {
+                        let Some(obj) = self.try_object(id) else {
+                            return Err(format!("{rid} lists freed {id} at index {index}"));
+                        };
+                        if obj.region() != rid || obj.list_index() as usize != index {
+                            return Err(format!(
+                                "{rid} lists {id} at index {index}, but it records {} index {}",
+                                obj.region(),
+                                obj.list_index()
+                            ));
+                        }
+                        live += 1;
+                        obj.offset()
+                    }
+                    Entry::Removed(offset) => offset,
+                };
+                if prev_offset.is_some_and(|p| p >= offset) {
+                    return Err(format!("{rid} list is out of offset order at index {index}"));
+                }
+                prev_offset = Some(offset);
+            }
+            if live != region.object_count() {
+                return Err(format!(
+                    "{rid} counts {} objects but lists {live}",
+                    region.object_count()
+                ));
+            }
+            if region.needs_compaction() {
+                return Err(format!("{rid} holds too many tombstones for {live} objects"));
+            }
+            listed += live as u64;
+        }
+        for (i, slot) in self.arena.iter().enumerate() {
+            let Some(obj) = slot.as_ref() else { continue };
+            let Some(region) = self.try_region(obj.region()) else {
+                return Err(format!("obj#{i} sits in freed {}", obj.region()));
+            };
+            if region.entry(obj.list_index()) != Some(Entry::Live(ObjectId(i as u32))) {
+                return Err(format!(
+                    "obj#{i} is not listed at index {} of {}",
+                    obj.list_index(),
+                    obj.region()
+                ));
+            }
+        }
+        if listed != self.live_objects {
+            return Err(format!(
+                "regions list {listed} objects, the heap counts {}",
+                self.live_objects
+            ));
         }
         Ok(())
     }
@@ -930,6 +1064,64 @@ mod tests {
         assert!(in_card.contains(&b)); // b at offset 1000 overlaps card 0? card is 1024 bytes: b spans 1000..1100 — overlap yes
         let card1 = h.cards().card_of(1500);
         assert!(h.objects_in_card(card1).contains(&c));
+    }
+
+    #[test]
+    fn objects_in_card_skips_removed_entries_in_offset_order() {
+        let mut h = small_heap();
+        let ids: Vec<ObjectId> = (0..8).map(|_| h.alloc(200)).collect();
+        h.retire_alloc_targets();
+        h.copy_object(ids[5], RegionKind::Fg); // spanned 1000..1200
+        h.free_object(ids[2]); // spanned 400..600
+        let card1 = h.cards().card_of(1024);
+        assert_eq!(h.objects_in_card(card1), vec![ids[6], ids[7]]);
+        let card0 = h.cards().card_of(0);
+        assert_eq!(h.objects_in_card(card0), vec![ids[0], ids[1], ids[3], ids[4]]);
+        h.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_catches_list_corruption() {
+        let mut h = small_heap();
+        let ids: Vec<ObjectId> = (0..4).map(|_| h.alloc(100)).collect();
+        h.validate().unwrap();
+        let mut wrong_index = h.clone();
+        wrong_index.object_mut(ids[1]).set_list_index(2);
+        assert!(wrong_index.validate().unwrap_err().contains("index"));
+        let mut unlisted = h.clone();
+        let (region, offset) = (h.object(ids[3]).region(), h.object(ids[3]).offset());
+        unlisted.region_mut(region).remove_at(3, offset);
+        assert!(unlisted.validate().is_err());
+        let mut miscounted = h.clone();
+        miscounted.live_objects += 1;
+        assert!(miscounted.validate().unwrap_err().contains("counts"));
+    }
+
+    #[test]
+    fn alloc_targets_are_per_kind() {
+        let mut h = small_heap();
+        let a = h.alloc(10);
+        h.set_context(AllocContext::Background);
+        let b = h.alloc(10);
+        h.set_context(AllocContext::Foreground);
+        // A context switch retires both mutator targets.
+        let c = h.alloc(10);
+        assert_ne!(h.object(a).region(), h.object(c).region());
+        h.copy_object(a, RegionKind::Cold);
+        let d = h.alloc(10);
+        assert_eq!(h.object(c).region(), h.object(d).region());
+        assert_eq!(h.region(h.object(a).region()).kind(), RegionKind::Cold);
+        assert_ne!(h.object(a).region(), h.object(b).region());
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation target")]
+    fn freeing_an_alloc_target_panics() {
+        let mut h = small_heap();
+        let a = h.alloc(10);
+        let region = h.object(a).region();
+        h.free_object(a);
+        h.free_region(region);
     }
 
     #[test]

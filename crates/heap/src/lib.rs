@@ -51,6 +51,6 @@ pub use bitmap::{ObjectMarks, RegionSet, SlotBitmap};
 pub use card::CardTable;
 pub use config::{HeapConfig, PAGE_SIZE};
 pub use graph::{depth_bands, depth_map, reachable_set, UNREACHED};
-pub use heap::{Heap, HeapEvent, HeapStats};
+pub use heap::{Heap, HeapEvent, HeapStats, SweepStats};
 pub use object::{AllocContext, Object, ObjectClass, ObjectId};
 pub use region::{Region, RegionId, RegionKind};

@@ -71,6 +71,9 @@ pub struct Object {
     alloc_epoch: u32,
     region: RegionId,
     offset: u32,
+    /// Index of the object's entry in its region's object list (fits in
+    /// the struct's padding: no memory beyond the other fields).
+    list_index: u32,
     class: Option<ObjectClass>,
 }
 
@@ -81,8 +84,18 @@ impl Object {
         alloc_epoch: u32,
         region: RegionId,
         offset: u32,
+        list_index: u32,
     ) -> Self {
-        Object { size, refs: Vec::new(), context, alloc_epoch, region, offset, class: None }
+        Object {
+            size,
+            refs: Vec::new(),
+            context,
+            alloc_epoch,
+            region,
+            offset,
+            list_index,
+            class: None,
+        }
     }
 
     /// Payload size in bytes.
@@ -120,9 +133,18 @@ impl Object {
         self.offset
     }
 
-    pub(crate) fn relocate(&mut self, region: RegionId, offset: u32) {
+    pub(crate) fn list_index(&self) -> u32 {
+        self.list_index
+    }
+
+    pub(crate) fn set_list_index(&mut self, list_index: u32) {
+        self.list_index = list_index;
+    }
+
+    pub(crate) fn relocate(&mut self, region: RegionId, offset: u32, list_index: u32) {
         self.region = region;
         self.offset = offset;
+        self.list_index = list_index;
     }
 
     /// RGS classification, if a grouping GC has run.
@@ -153,8 +175,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn list_index_fits_in_padding() {
+        assert_eq!(std::mem::size_of::<Option<Object>>(), 48);
+    }
+
+    #[test]
     fn object_metadata() {
-        let mut o = Object::new(48, AllocContext::Background, 3, RegionId(2), 128);
+        let mut o = Object::new(48, AllocContext::Background, 3, RegionId(2), 128, 0);
         assert_eq!(o.size(), 48);
         assert_eq!(o.alloc_epoch(), 3);
         assert_eq!(o.region(), RegionId(2));
@@ -163,7 +191,8 @@ mod tests {
         assert_eq!(o.class(), None);
         o.set_class(Some(ObjectClass::Ws));
         assert_eq!(o.class(), Some(ObjectClass::Ws));
-        o.relocate(RegionId(5), 0);
+        o.relocate(RegionId(5), 0, 7);
         assert_eq!(o.region(), RegionId(5));
+        assert_eq!(o.list_index(), 7);
     }
 }
